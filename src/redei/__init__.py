@@ -28,11 +28,13 @@ from .cyclestruct import (
     half_shift_shares_structure,
     iterated_fixed_point_count,
     prime_power_gcds_agree,
+    prime_power_signature,
     same_structure_by_iterates,
     shares_cycle_structure,
 )
 from .families import (
     FamilyPrediction,
+    InvalidFamilyInput,
     frobenius_family,
     gcd_power_pm,
     p_qmp1_family,

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 
 from .cyclestruct import (
     CycleStructure,
+    _modulus,
     cycle_structure,
+    prime_power_signature,
     shares_cycle_structure,
 )
 from .numthy import (
     euler_phi,
     factorize,
-    gcd_power_minus_one,
     mult_order,
     padic_valuation,
     prime_power_decomposition,
@@ -67,15 +68,6 @@ class NoSuchInvolution(Exception):
     """No involution exists with the requested fixed-point count."""
 
 
-def _modulus(q: int, chi: int) -> int:
-    if chi not in (-1, 1):
-        raise ValueError(f"chi must be -1 or +1, got {chi}")
-    n = q - chi
-    if n < 2:
-        raise ValueError(f"q={q}, chi={chi} leaves no permutation domain")
-    return n
-
-
 def valid_indices(q: int, chi: int) -> list[int]:
     """Indices in [1, q - chi) coprime to q - chi, ascending."""
     n = _modulus(q, chi)
@@ -85,15 +77,20 @@ def valid_indices(q: int, chi: int) -> list[int]:
 def structure_classes(q: int, chi: int) -> list[StructureClass]:
     """Partition the valid indices by exact structure equality.
 
+    Indices are grouped by their prime_power_signature at every prime power
+    exactly dividing q - chi, which agree exactly when the structures do,
+    and one structure is computed per class, from its smallest member.
     Classes come out ordered by smallest member; members ascend.  The
     identity index m = 1 is included.
     """
-    grouped: dict[CycleStructure, list[int]] = {}
+    factors = factorize(_modulus(q, chi)).factors
+    grouped: dict[tuple, list[int]] = {}
     for m in valid_indices(q, chi):
-        grouped.setdefault(cycle_structure(m, q, chi), []).append(m)
+        key = tuple(prime_power_signature(m, p, alpha) for p, alpha in factors)
+        grouped.setdefault(key, []).append(m)
     return [
-        StructureClass(structure, tuple(members))
-        for structure, members in grouped.items()
+        StructureClass(cycle_structure(members[0], q, chi), tuple(members))
+        for members in grouped.values()
     ]
 
 
@@ -156,23 +153,13 @@ def pair_shares_structure(m: int, n: int, q: int, chi: int) -> bool:
 
 
 def _shift_conditions(m: int, n: int, shift_primes) -> bool:
-    # Per-prime conditions for a shifted pair: equal orders mod p, equal
-    # gcds at r = order for alpha > 1, and the extra r = 2 comparison for
-    # p == 2 when m == 3 (mod 4).
+    # Per-prime conditions for a shifted pair: neither coordinate divisible
+    # by p, and equal signatures at p**alpha.
     for p, alpha in shift_primes:
         if m % p == 0 or n % p == 0:
             return False
-        theta = mult_order(m, p)
-        if mult_order(n, p) != theta:
+        if prime_power_signature(m, p, alpha) != prime_power_signature(n, p, alpha):
             return False
-        if alpha == 1:
-            continue
-        pa = p**alpha
-        if gcd_power_minus_one(m, theta, pa) != gcd_power_minus_one(n, theta, pa):
-            return False
-        if p == 2 and m % 4 == 3:
-            if math.gcd(m * m - 1, pa) != math.gcd(n * n - 1, pa):
-                return False
     return True
 
 

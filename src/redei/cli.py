@@ -3,7 +3,8 @@
 Subcommands: structure, classes, pairs, isolated, family, verify.
 Formats: json, csv, text (default).  Exit codes: 0 success, 2 invalid
 input, 3 verification failure, 4 family precondition unmet.  The
-REDEI_THREADS environment variable caps the verify worker pool.
+REDEI_THREADS environment variable, a positive integer, caps the verify
+worker pool.
 """
 
 from __future__ import annotations
@@ -35,15 +36,17 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _resolve_q(args) -> int:
+def _given_q(args) -> int:
     if args.q is not None:
-        q = args.q
-    elif args.p is not None and args.k is not None:
-        q = args.p**args.k
-    else:
-        raise ValueError("supply --q, or both --p and --k")
-    decomposition = prime_power_decomposition(q)
-    if q < 3 or q % 2 == 0 or decomposition is None:
+        return args.q
+    if args.p is not None and args.k is not None:
+        return args.p**args.k
+    raise ValueError("supply --q, or both --p and --k")
+
+
+def _resolve_q(args) -> int:
+    q = _given_q(args)
+    if q < 3 or q % 2 == 0 or prime_power_decomposition(q) is None:
         raise ValueError(f"q={q} is not an odd prime power")
     return q
 
@@ -178,7 +181,7 @@ def _family_prediction(args):
         else:
             raise ValueError("p-qmp1 needs --q, --twok, or --k")
         return families.p_qmp1_family(args.p, q, args.chi)
-    q = _resolve_q(args)
+    q = _given_q(args)
     if name == "quarter":
         return families.quarter_family(q, args.chi)
     if name == "pm2":
@@ -193,6 +196,8 @@ def cmd_family(args) -> int:
         return _fail("--chi is required", EXIT_INVALID)
     try:
         pred = _family_prediction(args)
+    except families.InvalidFamilyInput as exc:
+        return _fail(str(exc), EXIT_INVALID)
     except ValueError as exc:
         return _fail(str(exc), EXIT_FAMILY_PRECONDITION)
     lines = [
@@ -224,16 +229,23 @@ def _worker_count(args) -> int:
     cap = os.environ.get("REDEI_THREADS")
     if cap:
         try:
-            workers = min(workers, max(1, int(cap)))
+            limit = int(cap)
         except ValueError:
-            pass
+            limit = 0
+        if limit < 1:
+            raise ValueError(f"REDEI_THREADS must be a positive integer, got {cap!r}")
+        workers = min(workers, limit)
     return max(1, workers)
 
 
 def cmd_verify(args) -> int:
     if args.qmax < 3 or args.qmax > 400:
         return _fail("--qmax must be between 3 and 400", EXIT_INVALID)
-    rows = verify.run_all(args.qmax, workers=_worker_count(args))
+    try:
+        workers = _worker_count(args)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INVALID)
+    rows = verify.run_all(args.qmax, workers=workers)
     bad = None
     for name, checked, failures in rows:
         status = "ok" if not failures else f"FAILED ({len(failures)})"
@@ -302,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--l2", type=int, help="second power exponent (frobenius)")
     p_family.add_argument("--twok", type=int, help="even exponent for p-qmp1")
     p_family.add_argument(
-        "--verify", action="store_true", help="cross-check against the divisor formula"
+        "--verify", action="store_true", help="cross-check against the closed form"
     )
     p_family.set_defaults(func=cmd_family)
 

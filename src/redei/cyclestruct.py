@@ -1,6 +1,6 @@
-"""Cycle structures from divisor and order data, fixed-point counts, and
-the arithmetic criteria deciding when two Redei permutations over the same
-field and character share a cycle structure.
+"""Cycle structures from per-prime-power order data, fixed-point counts,
+and the arithmetic criteria deciding when two Redei permutations over the
+same field and character share a cycle structure.
 
 This module is field-free: the character is always passed as an explicit
 chi in {-1, +1}, never inferred from a field element.  Throughout, the
@@ -16,7 +16,6 @@ from typing import Iterable, Mapping
 
 from .numthy import (
     divisors,
-    euler_phi,
     factorize,
     gcd_power_minus_one,
     mult_order,
@@ -29,6 +28,7 @@ __all__ = [
     "fixed_point_count",
     "iterated_fixed_point_count",
     "same_structure_by_iterates",
+    "prime_power_signature",
     "prime_power_gcds_agree",
     "shares_cycle_structure",
     "half_shift_shares_structure",
@@ -100,21 +100,82 @@ def _require_coprime(m: int, n: int) -> None:
         raise ValueError(f"m={m} is not coprime to {n}: not a permutation")
 
 
+def prime_power_signature(m: int, p: int, alpha: int) -> tuple[int, ...]:
+    """Everything about m that x -> m*x on Z_{p**alpha} depends on.
+
+    (theta, gcd(m**theta - 1, p**alpha)) with theta the order of m mod p,
+    and for p == 2 also gcd(m**2 - 1, 2**alpha).  Two indices share a
+    cycle structure exactly when their signatures agree at every prime
+    power exactly dividing q - chi.  Requires p not dividing m.
+
+    >>> prime_power_signature(3, 5, 2), prime_power_signature(43, 5, 2)
+    ((4, 5), (4, 25))
+    """
+    theta = mult_order(m, p)
+    pa = p**alpha
+    if p == 2:
+        return (theta, math.gcd(m - 1, pa), math.gcd(m * m - 1, pa))
+    return (theta, gcd_power_minus_one(m, theta, pa))
+
+
+def _prime_power_cycle_type(
+    p: int, alpha: int, signature: tuple[int, ...]
+) -> dict[int, int]:
+    # The p**j - p**(j-1) points of additive order p**j in Z_{p**alpha}
+    # form cycles of length ord_{p**j}(m).  By lifting the exponent that
+    # order stays theta while p**j divides gcd(m**theta - 1, p**alpha) and
+    # gains a factor p at every level above.  For p == 2 and m == 3 (mod 4)
+    # the order is 1 at level 1 and 2 at level 2, and from there on
+    # gcd(m**2 - 1, 2**alpha) decides where it starts to double.
+    order, reach = signature[0], signature[1]
+    counts = {1: 1}
+    pj = 1
+    for j in range(1, alpha + 1):
+        pj *= p
+        if j == 2 and p == 2 and reach == 2:
+            order, reach = 2, signature[2]
+        elif reach % pj:
+            order *= p
+        counts[order] = counts.get(order, 0) + (pj - pj // p) // order
+    return counts
+
+
+def _direct_product(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
+    # c1 cycles of length l1 times c2 cycles of length l2 give
+    # c1 * c2 * gcd(l1, l2) cycles of length lcm(l1, l2).
+    out: dict[int, int] = {}
+    for l1, c1 in left.items():
+        for l2, c2 in right.items():
+            g = math.gcd(l1, l2)
+            length = l1 // g * l2
+            out[length] = out.get(length, 0) + c1 * c2 * g
+    return out
+
+
 def cycle_structure(m: int, q: int, chi: int) -> CycleStructure:
     """Cycle structure of the index-m Redei permutation with character chi.
 
-    One block of phi(d)/o_d(m) cycles of length o_d(m) for every divisor d
-    of q - chi, plus 1 + chi extra fixed points.  Total mass is q + 1.
+    The permutation acts like x -> m*x on Z_{q - chi}, plus 1 + chi extra
+    fixed points.  By the Chinese remainder theorem that map is the direct
+    product of x -> m*x on Z_{p**a} over the prime powers p**a exactly
+    dividing q - chi.  Each factor has at most a + 1 cycle lengths, read
+    off m's prime_power_signature by lifting the exponent, and the factors
+    combine as (l1, c1) x (l2, c2) -> (lcm(l1, l2), c1 * c2 * gcd(l1, l2)).
+    No divisor of q - chi is visited; the divisor-loop formula (one block
+    of phi(d)/o_d(m) cycles of length o_d(m) per divisor d) is kept as an
+    independent oracle in `redei.verify`.  Total mass is q + 1.
 
     >>> cycle_structure(3, 49, -1).as_dict()
     {1: 2, 4: 2, 20: 2}
+    >>> cycle_structure(3, 3**60, 1).total_points() == 3**60 + 1
+    True
     """
     n = _modulus(q, chi)
     _require_coprime(m, n)
-    counts: dict[int, int] = {}
-    for d in divisors(n):
-        o = mult_order(m, d)
-        counts[o] = counts.get(o, 0) + euler_phi(d) // o
+    counts = {1: 1}
+    for p, alpha in factorize(n).factors:
+        signature = prime_power_signature(m, p, alpha)
+        counts = _direct_product(counts, _prime_power_cycle_type(p, alpha, signature))
     counts[1] += 1 + chi
     return CycleStructure.from_counts(counts)
 
@@ -155,30 +216,14 @@ def same_structure_by_iterates(m: int, n: int, q: int, chi: int) -> bool:
 
 def prime_power_gcds_agree(p: int, alpha: int, m: int, n: int) -> bool:
     """Whether gcd(m**r - 1, p**alpha) == gcd(n**r - 1, p**alpha) for every
-    r >= 1, decided by a finite case split.
-
-    Requires equal orders of m and n mod p; then alpha == 1 settles it, odd
-    p needs one gcd comparison at r = order, and p == 2 needs comparisons
-    at r = 1 (and also r = 2 when m == 3 mod 4).
+    r >= 1: true exactly when m and n have the same prime_power_signature
+    at p**alpha.
     """
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if m < 1 or n < 1 or m % p == 0 or n % p == 0:
         raise ValueError(f"p={p} must divide neither m={m} nor n={n}")
-    theta = mult_order(m, p)
-    if mult_order(n, p) != theta:
-        return False
-    if alpha == 1:
-        return True
-    pa = p**alpha
-    if p != 2:
-        return gcd_power_minus_one(m, theta, pa) == gcd_power_minus_one(n, theta, pa)
-    if m == 1 or padic_valuation(2, m - 1) > 1:
-        return math.gcd(m - 1, pa) == math.gcd(n - 1, pa)
-    return (
-        math.gcd(m - 1, pa) == math.gcd(n - 1, pa)
-        and math.gcd(m * m - 1, pa) == math.gcd(n * n - 1, pa)
-    )
+    return prime_power_signature(m, p, alpha) == prime_power_signature(n, p, alpha)
 
 
 def shares_cycle_structure(m: int, n: int, q: int, chi: int) -> bool:
@@ -186,10 +231,10 @@ def shares_cycle_structure(m: int, n: int, q: int, chi: int) -> bool:
     structure, using only gcd, order, and valuation arithmetic.
 
     Writes n = m + k * (q - chi) / d with d = (q - chi) / gcd(n - m, q - chi)
-    and checks, for each prime power p**a exactly dividing q - chi with
-    p | d: equal orders mod p, equal gcds at r = order when a > 1, and for
-    p == 2, a > 1, m == 3 (mod 4) also equal gcds at r = 2.  Symmetric in
-    m and n, and equivalent to exact structure equality.
+    and compares the prime_power_signature of m and n at each prime power
+    p**a exactly dividing q - chi with p | d; at the other primes m and n
+    agree mod p**a.  Symmetric in m and n, and equivalent to exact
+    structure equality.
 
     >>> shares_cycle_structure(5, 29, 49, 1)
     True
@@ -206,17 +251,8 @@ def shares_cycle_structure(m: int, n: int, q: int, chi: int) -> bool:
     for p, alpha in factorize(modulus).factors:
         if d % p:
             continue
-        theta = mult_order(m, p)
-        if n % p == 0 or mult_order(n, p) != theta:
+        if prime_power_signature(m, p, alpha) != prime_power_signature(n, p, alpha):
             return False
-        if alpha == 1:
-            continue
-        pa = p**alpha
-        if gcd_power_minus_one(m, theta, pa) != gcd_power_minus_one(n, theta, pa):
-            return False
-        if p == 2 and m != 1 and padic_valuation(2, m - 1) == 1:
-            if math.gcd(m * m - 1, pa) != math.gcd(n * n - 1, pa):
-                return False
     return True
 
 

@@ -22,12 +22,20 @@ from .numthy import (
 
 __all__ = [
     "FamilyPrediction",
+    "InvalidFamilyInput",
     "gcd_power_pm",
     "frobenius_family",
     "p_qmp1_family",
     "quarter_family",
     "pm2_family",
 ]
+
+
+class InvalidFamilyInput(ValueError):
+    """Arguments that name no family member at all: p not an odd prime,
+    q not an odd prime power or not a power of p, k < 2, an exponent out
+    of range, or chi outside {-1, +1}.  A congruence precondition that a
+    well-formed field fails raises a plain ValueError instead."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,7 @@ def gcd_power_pm(c: int, k: int, l: int, sign_k: int, sign_l: int) -> int:
 
 def _validate_chi(chi: int) -> None:
     if chi not in (-1, 1):
-        raise ValueError(f"chi must be -1 or +1, got {chi}")
+        raise InvalidFamilyInput(f"chi must be -1 or +1, got {chi}")
 
 
 def frobenius_family(p: int, k: int, l1: int, l2: int, chi: int) -> FamilyPrediction:
@@ -101,12 +109,12 @@ def frobenius_family(p: int, k: int, l1: int, l2: int, chi: int) -> FamilyPredic
     """
     _validate_chi(chi)
     if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise InvalidFamilyInput(f"p must be an odd prime, got {p}")
     if k < 2:
-        raise ValueError(f"need k >= 2 for a proper power pair, got k={k}")
+        raise InvalidFamilyInput(f"need k >= 2 for a proper power pair, got k={k}")
     for l in (l1, l2):
         if not 1 <= l < k:
-            raise ValueError(f"exponent {l} outside [1, {k})")
+            raise InvalidFamilyInput(f"exponent {l} outside [1, {k})")
     q = p**k
     n = q - chi
     pair = (pow(p, l1, n), pow(p, l2, n))
@@ -159,14 +167,14 @@ def p_qmp1_family(p: int, q: int, chi: int) -> FamilyPrediction:
     """
     _validate_chi(chi)
     if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise InvalidFamilyInput(f"p must be an odd prime, got {p}")
     e = 0
     t = q
     while t > 1 and t % p == 0:
         t //= p
         e += 1
     if t != 1 or e < 1:
-        raise ValueError(f"q={q} is not a power of p={p}")
+        raise InvalidFamilyInput(f"q={q} is not a power of p={p}")
     n = q - chi
     pair = (p % n, (q - p + 1) % n)
     if chi == -1:
@@ -206,7 +214,7 @@ def p_qmp1_family(p: int, q: int, chi: int) -> FamilyPrediction:
 
 def _validate_field_size(q: int) -> None:
     if q < 3 or q % 2 == 0 or prime_power_decomposition(q) is None:
-        raise ValueError(f"q={q} is not an odd prime power")
+        raise InvalidFamilyInput(f"q={q} is not an odd prime power")
 
 
 def quarter_family(q: int, chi: int) -> FamilyPrediction:

@@ -29,6 +29,7 @@ from .catalog import (
     valid_indices,
 )
 from .cyclestruct import (
+    CycleStructure,
     cycle_structure,
     fixed_point_count,
     iterated_fixed_point_count,
@@ -46,6 +47,7 @@ from .maps import (
 )
 from .numthy import (
     divisors,
+    euler_phi,
     factorize,
     gcd_power_minus_one,
     mult_order,
@@ -101,17 +103,32 @@ def brute_structures(q: int, chi: int):
     }
 
 
+def _divisor_loop_structure(m: int, q: int, chi: int) -> CycleStructure:
+    # The divisor-loop formula: phi(d)/o_d(m) cycles of length o_d(m) for
+    # every divisor d of q - chi, plus 1 + chi extra fixed points.  It
+    # shares no step with the per-prime-power product in cycle_structure.
+    counts: dict[int, int] = {}
+    for d in divisors(q - chi):
+        o = mult_order(m, d)
+        counts[o] = counts.get(o, 0) + euler_phi(d) // o
+    counts[1] += 1 + chi
+    return CycleStructure.from_counts(counts)
+
+
 def formula_vs_bruteforce(q: int) -> Check:
-    """Divisor-formula structures against explicit permutation tables,
-    plus fixed-point count and total-mass consistency."""
+    """The per-prime-power closed form, the divisor-loop formula and the
+    explicit permutation tables against each other, plus fixed-point count
+    and total-mass consistency."""
     checked, failures = 0, []
     for chi in (-1, 1):
         for m, actual in brute_structures(q, chi).items():
             checked += 1
             expected = cycle_structure(m, q, chi)
-            if expected != actual:
+            by_divisors = _divisor_loop_structure(m, q, chi)
+            if not (expected == by_divisors == actual):
                 failures.append(
-                    f"q={q} chi={chi} m={m}: formula {expected} != table {actual}"
+                    f"q={q} chi={chi} m={m}: closed form {expected}, "
+                    f"divisor loop {by_divisors}, table {actual}"
                 )
             if actual.total_points() != q + 1:
                 failures.append(f"q={q} chi={chi} m={m}: mass != q + 1")
@@ -487,8 +504,8 @@ def reference_gcd_order_tables() -> Check:
 def family_consistency(
     frob_cap: int = 2187, pair_cap: int = 400, oracle_cap: int = 10**4
 ) -> Check:
-    """Every family prediction against the divisor formula (membership as
-    an iff, and structure equality where a closed form exists), plus the
+    """Every family prediction against the closed form (membership as an
+    iff, and structure equality where a closed form exists), plus the
     brute-force permutation oracle for the even-power family."""
     checked, failures = 0, []
 

@@ -64,7 +64,7 @@ def test_criterion_04_big_integer_recursion():
 
 
 def test_criterion_05_formula_matches_bruteforce():
-    _run(5, f"divisor formula vs explicit tables, q <= {FIELD_CAP}",
+    _run(5, f"closed form and divisor loop vs explicit tables, q <= {FIELD_CAP}",
          lambda: (verify.formula_vs_bruteforce(q)
                   for q in verify.odd_prime_powers(FIELD_CAP)))
 

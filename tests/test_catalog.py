@@ -22,6 +22,7 @@ from redei.catalog import (
 )
 from redei.cyclestruct import fixed_point_count, structures_by_index
 from redei.numthy import divisors, padic_valuation
+from redei.verify import odd_prime_powers
 
 
 def test_classes_for_q49():
@@ -54,6 +55,20 @@ def test_classes_partition_valid_indices():
         assert members == valid_indices(q, chi)
         for cls in classes:
             assert list(cls.members) == sorted(cls.members)
+
+
+def test_signature_classes_match_structure_grouping():
+    # structure_classes keys indices by per-prime signature; grouping the
+    # per-index structures directly must give the same classes in the same
+    # order, with the same structures.
+    for q in odd_prime_powers(2000):
+        for chi in (-1, 1):
+            grouped: dict = {}
+            for m, structure in sorted(structures_by_index(q, chi).items()):
+                grouped.setdefault(structure, []).append(m)
+            expected = [(s, tuple(members)) for s, members in grouped.items()]
+            got = [(c.structure, c.members) for c in structure_classes(q, chi)]
+            assert got == expected, (q, chi)
 
 
 def test_degenerate_field_single_class():

@@ -156,6 +156,18 @@ def test_family_precondition_exit_code(capsys):
     assert code == 4
 
 
+def test_family_malformed_arguments_exit_code(capsys):
+    for argv in (
+        ("frobenius", "--p", "4", "--k", "3", "--l1", "1", "--l2", "2", "--chi", "1"),
+        ("frobenius", "--p", "3", "--k", "1", "--l1", "1", "--l2", "1", "--chi", "1"),
+        ("frobenius", "--p", "3", "--k", "3", "--l1", "1", "--l2", "3", "--chi", "1"),
+        ("p-qmp1", "--p", "3", "--q", "10"),
+        ("quarter", "--q", "45", "--chi", "1"),
+    ):
+        code, _, err = run_cli(capsys, "family", *argv)
+        assert code == 2 and "error" in err, argv
+
+
 def test_family_frobenius(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -173,6 +185,13 @@ def test_verify_small_sweep(capsys, monkeypatch):
     assert code == 0
     assert "formula_vs_bruteforce" in out
     assert "all properties hold" in out
+
+
+def test_verify_rejects_bad_thread_cap(capsys, monkeypatch):
+    for value in ("abc", "0"):
+        monkeypatch.setenv("REDEI_THREADS", value)
+        code, out, err = run_cli(capsys, "verify", "--qmax", "9")
+        assert code == 2 and "REDEI_THREADS" in err and out == ""
 
 
 def test_verify_rejects_large_qmax(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -9,10 +10,12 @@ from redei.cyclestruct import (
     half_shift_shares_structure,
     iterated_fixed_point_count,
     prime_power_gcds_agree,
+    prime_power_signature,
     same_structure_by_iterates,
     shares_cycle_structure,
     structures_by_index,
 )
+from redei.maps import mult_map_structure
 
 
 class TestCycleStructure:
@@ -61,6 +64,43 @@ def test_structure_mass_is_q_plus_one():
             for m in range(1, n):
                 if math.gcd(m, n) == 1:
                     assert cycle_structure(m, q, chi).total_points() == q + 1
+
+
+def test_structure_matches_multiplication_map():
+    # The product over prime powers against a direct orbit walk of
+    # x -> m*x on Z_n (q = n + 1, chi = +1 adds two fixed points), for
+    # every n up to 200 and for a few n with high powers of 2, 3 and 5,
+    # where the lifting-the-exponent cases matter most.
+    for n in [*range(2, 201), 256, 486, 500, 512, 648, 1024]:
+        for m in range(1, n):
+            if math.gcd(m, n) == 1:
+                expected = mult_map_structure(m, n).as_dict()
+                expected[1] += 2
+                assert cycle_structure(m, n + 1, 1).as_dict() == expected, (m, n)
+
+
+@pytest.mark.parametrize(
+    "p, k, chi, fixed",
+    [(3, 60, 1, (3,)), (11, 24, 1, ()), (7, 30, -1, ())],
+)
+def test_structure_at_large_moduli(p, k, chi, fixed):
+    # Too large for the divisor loop: check the mass, and check the
+    # fixed points of the r-th iterate at every reported length r against
+    # gcd(m**r - 1, q - chi) + chi + 1.
+    q = p**k
+    n = q - chi
+    rng = random.Random(q)
+    indices = list(fixed)
+    while len(indices) < len(fixed) + 3:
+        m = rng.randrange(2, n)
+        if math.gcd(m, n) == 1:
+            indices.append(m)
+    for m in indices:
+        s = cycle_structure(m, q, chi)
+        assert s.total_points() == q + 1
+        for r, _ in s.counts:
+            expected = sum(ln * mult for ln, mult in s.counts if r % ln == 0)
+            assert iterated_fixed_point_count(m, r, q, chi) == expected, (m, r)
 
 
 def test_structure_rejects_noncoprime():
@@ -113,6 +153,14 @@ def test_iterates_criterion_matches_structures_small():
             for n in ms[i + 1 :]:
                 expected = structs[m] == structs[n]
                 assert same_structure_by_iterates(m, n, q, chi) == expected
+
+
+def test_prime_power_signature_values():
+    assert prime_power_signature(7, 5, 1) == (4, 5)
+    # p == 2 carries gcd(m**2 - 1, 2**alpha) as well.
+    assert prime_power_signature(3, 2, 4) == (1, 2, 8)
+    assert prime_power_signature(7, 2, 4) == (1, 2, 16)
+    assert prime_power_signature(5, 2, 4) == (1, 4, 8)
 
 
 class TestPrimePowerGcds:
