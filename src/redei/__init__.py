@@ -57,7 +57,9 @@ from .maps import (
     cycle_decomposition,
     mult_map_structure,
     power_map_structure,
+    power_map_structures,
     redei_eval,
+    redei_structures,
 )
 from .numthy import (
     PrimeFactorization,

@@ -208,7 +208,7 @@ def cmd_family(args) -> int:
     if pred.structure is not None:
         lines.append(f"structure {pred.structure}")
     if args.verify:
-        if pred.q - pred.chi <= 10**6 and pred.applicable:
+        if pred.applicable:
             m1, m2 = pred.pair
             ok = catalog.pair_shares_structure(m1, m2, pred.q, pred.chi)
             if pred.structure is not None:
@@ -219,7 +219,7 @@ def cmd_family(args) -> int:
                 return EXIT_VERIFY_FAILED
             lines.append("cross-check: agree")
         else:
-            lines.append("cross-check: skipped (q too large or pair not applicable)")
+            lines.append("cross-check: skipped (pair not applicable)")
     _emit(args, pred.to_json_obj(), lines)
     return EXIT_OK
 

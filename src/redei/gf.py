@@ -2,10 +2,21 @@
 quadratic characters, and the projective line (all field elements plus a
 single point at infinity).
 
-Elements are length-k tuples of residues mod p, constant term first.
+At the edges (`element`, `index`, `parse_element`, `element_str`) an
+element is a length-k tuple of residues mod p, constant term first.
 Enumeration order is odometer order with the constant term varying fastest,
 so element i has the base-p digits of i as coefficients.  That order is
 fixed: canonical representatives and golden outputs depend on it.
+
+Inside the arithmetic kernel an element is one Python int (Kronecker
+substitution): coefficient i sits in bits [B*i, B*(i + 1)), with the slot
+width B wide enough that sums of two products of reduced elements never
+carry from one slot into the next.  A product is then one big-int multiply
+followed by `Field.reduce`, which folds the slots of degree k and above
+back with the packed reduction rows and takes every remaining slot mod p;
+for a prime field it is a bare `w % p`.  `mul`, `pow` and `inv` run on this
+kernel and convert at their boundary, and the oracles in `maps` stay in
+packed form throughout.
 """
 
 from __future__ import annotations
@@ -110,6 +121,8 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     k = len(f) - 1
     if k == 1:
         return True
+    if f[0] == 0:
+        return False  # divisible by x
     t = [0, 1]
     for _ in range(k // 2):
         t = _poly_powmod(t, p, f, p)
@@ -123,13 +136,62 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+# -- the packed kernel -------------------------------------------------------
+
+
+def _packed_reduce(p: int, k: int, bits: int, fold_rows: tuple[int, ...]):
+    """The reduction map of F_{p**k} on packed elements with slot width
+    `bits`, where fold_rows[j] is x**(k + j) mod the modulus, packed.
+
+    The map takes a nonnegative packed polynomial of degree at most 2k - 2
+    whose slots stay within the slot width (a sum of at most two products
+    of reduced elements, plus a reduced element) to the reduced packed
+    element congruent to it: each slot of degree k and above is taken mod p
+    and folded back with its row, then every low slot is taken mod p.  It
+    is a closure over the field's constants, which keeps the calls cheap.
+    """
+    if k == 1:
+        def reduce(w: int) -> int:
+            return w % p
+
+        return reduce
+    mask = (1 << bits) - 1
+    high_shift = bits * k
+    low_mask = (1 << high_shift) - 1
+    if k == 2:
+        row = fold_rows[0]
+
+        def reduce(w: int) -> int:
+            # The commonest extension, unrolled: one high slot to fold.
+            w = (w & low_mask) + (w >> high_shift) % p * row
+            return (w & mask) % p | (w >> bits) % p << bits
+
+        return reduce
+    shifts = tuple(bits * i for i in range(k))
+
+    def reduce(w: int) -> int:
+        high = w >> high_shift
+        w &= low_mask
+        for row in fold_rows:
+            if not high:
+                break
+            w += (high & mask) % p * row
+            high >>= bits
+        out = 0
+        for s in shifts:
+            out |= (w >> s & mask) % p << s
+        return out
+
+    return reduce
+
+
 # -- the field itself -------------------------------------------------------
 
 
 class Field:
     """Arithmetic context for F_{p**k}.
 
-    Immutable once built; the lazily filled inverse cache only memoizes
+    Immutable once built; the lazily built point list only memoizes
     values, so instances are safe to share across threads.
     """
 
@@ -144,8 +206,14 @@ class Field:
         self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
-        self._reduction_rows = self._build_reduction_rows()
-        self._inv_cache: dict[tuple, tuple] = {}
+        # Slot width for packed elements: every slot `reduce` meets stays
+        # below 3*k*p**2 (two products of reduced elements plus the folded
+        # high slots), so no carry ever crosses into the next slot.
+        self._bits = (3 * k * p * p).bit_length()
+        self._mask = (1 << self._bits) - 1
+        self._shifts = tuple(self._bits * i for i in range(k))
+        fold_rows = tuple(self.pack(row) for row in self._build_reduction_rows())
+        self.reduce = _packed_reduce(p, k, self._bits, fold_rows)
         self._points: list | None = None
 
     def _build_reduction_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -167,6 +235,10 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, k={self.k})"
+
+    def __reduce__(self):
+        # `reduce` is a closure; rebuild the field from its definition.
+        return (Field, (self.p, self.k, self.modulus))
 
     def __eq__(self, other) -> bool:
         return (
@@ -221,45 +293,52 @@ class Field:
         return tuple(-a % p for a in u)
 
     def mul(self, u: tuple, v: tuple) -> tuple:
-        p, k = self.p, self.k
-        if k == 1:
-            return (u[0] * v[0] % p,)
-        prod = [0] * (2 * k - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    prod[i + j] += ui * vj
-        out = prod[:k]
-        rows = self._reduction_rows
-        for d in range(k, 2 * k - 1):
-            c = prod[d]
-            if c:
-                row = rows[d - k]
-                for j in range(k):
-                    out[j] += c * row[j]
-        return tuple(c % p for c in out)
+        return self.unpack(self.reduce(self.pack(u) * self.pack(v)))
 
     def inv(self, u: tuple) -> tuple:
-        if u == self.zero:
-            raise ZeroDivisionError("0 has no inverse")
-        cached = self._inv_cache.get(u)
-        if cached is None:
-            cached = self.pow(u, self.q - 2)
-            self._inv_cache[u] = cached
-        return cached
+        return self.unpack(self.inv_packed(self.pack(u)))
 
     def pow(self, u: tuple, e: int) -> tuple:
+        return self.unpack(self.pow_packed(self.pack(u), e))
+
+    # the packed kernel
+
+    def pack(self, el) -> int:
+        """Packed form of a coefficient sequence, constant term first."""
+        return sum(c << s for c, s in zip(el, self._shifts))
+
+    def unpack(self, w: int) -> tuple:
+        """Tuple form of a reduced packed element."""
+        mask = self._mask
+        return tuple(w >> s & mask for s in self._shifts)
+
+    def packed_elements(self) -> list[int]:
+        """Packed form of every element, in enumeration order."""
+        out = [0]
+        for s in self._shifts:
+            out = [w | c << s for c in range(self.p) for w in out]
+        return out
+
+    def pow_packed(self, w: int, e: int) -> int:
+        """w**e on a reduced packed element, by square-and-multiply."""
         if e < 0:
             raise ValueError("negative exponents not supported; invert first")
-        result = self.one
-        b = u
+        if self.k == 1:
+            return pow(w, e, self.p)
+        reduce = self.reduce
+        result = 1
         while e:
             if e & 1:
-                result = self.mul(result, b)
+                result = reduce(result * w)
             e >>= 1
             if e:
-                b = self.mul(b, b)
+                w = reduce(w * w)
         return result
+
+    def inv_packed(self, w: int) -> int:
+        if not w:
+            raise ZeroDivisionError("0 has no inverse")
+        return self.pow_packed(w, self.q - 2)
 
     def json_obj(self) -> dict:
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}

@@ -28,8 +28,11 @@ __all__ = [
 _TRIAL_LIMIT = 10_000
 
 # Deterministic Miller-Rabin witness set for n < 3.3 * 10**24, which covers
-# every 64-bit input and then some.
+# every 64-bit input and then some.  _MR_BOUND is the smallest strong
+# pseudoprime to all twelve bases (Sorenson & Webster, Math. Comp. 2017);
+# from there on a strong Lucas test joins in.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,16 @@ class PrimeFactorization:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic far beyond 64 bits."""
+    """Primality, exact below 3.3 * 10**24 and Baillie-PSW above.
+
+    Miller-Rabin to the twelve prime bases up to 37 is deterministic below
+    the smallest strong pseudoprime to all of them; from that bound on,
+    a strong Lucas probable-prime test with Selfridge's parameters is
+    added, which makes the test Baillie-PSW (no counterexample is known).
+
+    >>> is_prime(3317044064679887385961981)
+    False
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -82,7 +94,62 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    # Jacobi symbol (a / n) for odd positive n.
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    # Strong Lucas test for odd n > 37 (Baillie & Wagstaff 1980), with
+    # Selfridge's parameters: D is the first of 5, -7, 9, -11, ... with
+    # (D / n) == -1, P = 1 and Q = (1 - D) / 4.  Writing n + 1 = d * 2**s,
+    # n passes when U_d == 0 or V_{d * 2**r} == 0 (mod n) for some r < s.
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # n > |D| here, so gcd(D, n) is a proper factor
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        return (x + n if x % 2 else x) // 2 % n
+
+    # Lucas chain over the bits of d: (U_k, V_k, Q**k) from k = 1.
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
+    if u == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
 
 
 def _brent_rho(n: int) -> int:

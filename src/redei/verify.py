@@ -10,7 +10,6 @@ route are always compared against each other and never collapsed into one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 from .catalog import (
@@ -43,7 +42,8 @@ from .maps import (
     build_permutation,
     cycle_decomposition,
     mult_map_structure,
-    power_map_structure,
+    power_map_structures,
+    redei_structures,
 )
 from .numthy import (
     divisors,
@@ -96,11 +96,8 @@ def brute_structures(q: int, chi: int):
     """Brute-force cycle structure of every valid index, by explicit
     permutation tables over the projective line (read-only)."""
     field = field_for(q)
-    a = first_with_character(field, chi)
-    return {
-        m: cycle_decomposition(build_permutation(field, m, a))
-        for m in valid_indices(q, chi)
-    }
+    tables = redei_structures(field, first_with_character(field, chi))
+    return {m: tables[m] for m in valid_indices(q, chi)}
 
 
 def _divisor_loop_structure(m: int, q: int, chi: int) -> CycleStructure:
@@ -146,18 +143,18 @@ def cyclic_transfer(q: int) -> Check:
     points."""
     checked, failures = 0, []
     field = field_for(q)
+    powers = power_map_structures(field, "norm_one")
     for m, table_structure in brute_structures(q, -1).items():
         checked += 1
         linear = mult_map_structure(m, q + 1)
-        power = power_map_structure(field, m, "norm_one")
-        if not (table_structure == linear == power):
+        if not (table_structure == linear == powers.get(m)):
             failures.append(f"q={q} chi=-1 m={m}: transfer mismatch")
+    powers = power_map_structures(field, "units")
     for m, table_structure in brute_structures(q, 1).items():
         checked += 1
         trimmed = table_structure.drop_fixed_points(2)
         linear = mult_map_structure(m, q - 1)
-        power = power_map_structure(field, m, "units")
-        if not (trimmed == linear == power):
+        if not (trimmed == linear == powers.get(m)):
             failures.append(f"q={q} chi=+1 m={m}: transfer mismatch")
     return checked, failures
 
@@ -356,10 +353,12 @@ def cross_field_correspondence(limit: int) -> Check:
                         if ok_q != ok_b:
                             continue
                         checked += 1
-                        try:
-                            cross_field_shift(m, q, qbar, p, chi)
-                        except AssertionError as exc:
-                            failures.append(str(exc))
+                        left, right = cross_field_shift(m, q, qbar, p, chi)
+                        if left != right:
+                            failures.append(
+                                f"cross-field correspondence failed for m={m}, "
+                                f"q={q}, qbar={qbar}, p={p}"
+                            )
     return checked, failures
 
 
@@ -594,13 +593,33 @@ def _field_bundle(q: int) -> list[tuple[str, int, list[str]]]:
 
 def run_all(qmax: int, workers: int = 1) -> list[tuple[str, int, list[str]]]:
     """Run the whole property suite for fields up to qmax; returns
-    (property, checked, failures) rows in a fixed order."""
+    (property, checked, failures) rows in a fixed order.
+
+    With several workers, every per-field bundle and the two whole-range
+    sweeps run as tasks of one process pool, the costliest first: the
+    cross-field and family sweeps, then the fields by descending q."""
     qs = odd_prime_powers(qmax)
+    cross_cap = min(qmax, _SYMMETRY_CAP)
+    family_caps = {
+        "frob_cap": min(2187, max(qmax, 27)),
+        "pair_cap": qmax,
+        "oracle_cap": qmax,
+    }
     if workers > 1:
+        # Imported here: the pool brings in multiprocessing, the costliest
+        # import of the package, and only a parallel run needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            bundles = list(pool.map(_field_bundle, qs))
+            cross = pool.submit(cross_field_correspondence, cross_cap)
+            family = pool.submit(family_consistency, **family_caps)
+            pending = {q: pool.submit(_field_bundle, q) for q in reversed(qs)}
+            bundles = [pending[q].result() for q in qs]
+            cross_row, family_row = cross.result(), family.result()
     else:
         bundles = [_field_bundle(q) for q in qs]
+        cross_row = cross_field_correspondence(cross_cap)
+        family_row = family_consistency(**family_caps)
     order: list[str] = []
     merged: dict[str, tuple[int, list[str]]] = {}
     for bundle in bundles:
@@ -614,17 +633,6 @@ def run_all(qmax: int, workers: int = 1) -> list[tuple[str, int, list[str]]]:
     if qmax >= 49:
         rows.append(("reference_tables_q49", *reference_tables_q49()))
         rows.append(("reference_gcd_order_tables", *reference_gcd_order_tables()))
-    rows.append(
-        ("cross_field_correspondence", *cross_field_correspondence(min(qmax, _SYMMETRY_CAP)))
-    )
-    rows.append(
-        (
-            "families",
-            *family_consistency(
-                frob_cap=min(2187, max(qmax, 27)),
-                pair_cap=qmax,
-                oracle_cap=qmax,
-            ),
-        )
-    )
+    rows.append(("cross_field_correspondence", *cross_row))
+    rows.append(("families", *family_row))
     return rows

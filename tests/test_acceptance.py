@@ -11,12 +11,16 @@ from redei import verify
 from redei.families import p_qmp1_family
 
 FIELD_CAP = 400
+# Valid indices over both characters of every odd prime power q <= 400:
+# one check each in criteria 5 and 7.
+FIELD_CAP_INDICES = 11939
 PAIR_MODULUS_CAP = 500
 SYMMETRY_CAP = 200
 
 
-def _run(number, name, make_pieces):
-    """make_pieces: zero-argument callable yielding (checked, failures)."""
+def _run(number, name, make_pieces, checks=None):
+    """make_pieces: zero-argument callable yielding (checked, failures);
+    checks, when given, is the exact number of checks expected."""
     start = time.perf_counter()
     checked, failures = 0, []
     for c, f in make_pieces():
@@ -28,6 +32,8 @@ def _run(number, name, make_pieces):
           f"{checked} checks in {elapsed:.1f}s")
     assert not failures, failures[:5]
     assert checked > 0
+    if checks is not None:
+        assert checked == checks
 
 
 def test_criterion_01_reference_class_table():
@@ -66,7 +72,8 @@ def test_criterion_04_big_integer_recursion():
 def test_criterion_05_formula_matches_bruteforce():
     _run(5, f"closed form and divisor loop vs explicit tables, q <= {FIELD_CAP}",
          lambda: (verify.formula_vs_bruteforce(q)
-                  for q in verify.odd_prime_powers(FIELD_CAP)))
+                  for q in verify.odd_prime_powers(FIELD_CAP)),
+         checks=FIELD_CAP_INDICES)
 
 
 def test_criterion_06_three_way_pair_equivalence():
@@ -78,7 +85,8 @@ def test_criterion_06_three_way_pair_equivalence():
 def test_criterion_07_cyclic_group_transfer():
     _run(7, f"transfer to multiplication and power maps, q <= {FIELD_CAP}",
          lambda: (verify.cyclic_transfer(q)
-                  for q in verify.odd_prime_powers(FIELD_CAP)))
+                  for q in verify.odd_prime_powers(FIELD_CAP)),
+         checks=FIELD_CAP_INDICES)
 
 
 def test_criterion_08_isolated_permutations():

@@ -212,8 +212,8 @@ class TestCrossFieldShift:
         for m in range(1, 200, 2):
             if math.gcd(m, 50) != 1 or math.gcd(m, 200) != 1:
                 continue
-            left = cross_field_shift(m, 49, 199, 5, -1)
-            assert left == pair_shares_structure(m, m + 10, 49, -1)
+            left, right = cross_field_shift(m, 49, 199, 5, -1)
+            assert left == right == pair_shares_structure(m, m + 10, 49, -1)
 
     def test_rejects_unmet_hypotheses(self):
         with pytest.raises(ValueError):
@@ -229,7 +229,7 @@ class TestCrossFieldShift:
 
     def test_degenerate_index_both_sides_false(self):
         # 3 divides both 12 and 60, so neither side permutes.
-        assert cross_field_shift(3, 13, 61, 3, 1) is False
+        assert cross_field_shift(3, 13, 61, 3, 1) == (False, False)
         # 5 is coprime to 12 but not to 60: one-sided, rejected.
         with pytest.raises(ValueError):
             cross_field_shift(5, 13, 61, 3, 1)

@@ -143,6 +143,14 @@ def test_family_quarter_with_verify(capsys):
     assert "cross-check: agree" in out
 
 
+def test_family_verify_at_huge_q(capsys):
+    code, out, _ = run_cli(
+        capsys, "family", "p-qmp1", "--p", "3", "--twok", "60", "--verify"
+    )
+    assert code == 0
+    assert "cross-check: agree" in out
+
+
 def test_family_pm2_degenerate(capsys):
     code, out, _ = run_cli(capsys, "family", "pm2", "--q", "7", "--chi", "1")
     assert code == 0
@@ -185,6 +193,19 @@ def test_verify_small_sweep(capsys, monkeypatch):
     assert code == 0
     assert "formula_vs_bruteforce" in out
     assert "all properties hold" in out
+
+
+def test_verify_pool_output_matches_serial(capsys, monkeypatch):
+    # The pool runs fields largest first and the two whole-range sweeps
+    # beside them; the printed rows must not depend on that.
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("REDEI_THREADS", threads)
+        code, out, _ = run_cli(capsys, "verify", "--qmax", "50", "--workers", "2")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "cross_field_correspondence" in outs[1] and "families" in outs[1]
 
 
 def test_verify_rejects_bad_thread_cap(capsys, monkeypatch):

@@ -1,10 +1,13 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from redei.gf import (
     INFINITY,
+    _poly_mulmod,
+    _poly_powmod,
     build_field,
     element_str,
     first_with_character,
@@ -184,3 +187,40 @@ def test_field_json_header():
 def test_infinity_is_singleton():
     assert INFINITY is type(INFINITY)()
     assert repr(INFINITY) == "inf"
+
+
+def _as_element(coeffs, k):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs + [0] * (k - len(coeffs)))
+
+
+@pytest.mark.parametrize("p,k", [(3, 8), (5, 6), (11, 4), (149, 2), (997, 1)])
+def test_packed_kernel_matches_polynomial_arithmetic(p, k):
+    field = build_field(p, k)
+    modulus = list(field.modulus)
+    rng = random.Random(p * 100 + k)
+    for _ in range(200):
+        u = tuple(rng.randrange(p) for _ in range(k))
+        v = tuple(rng.randrange(p) for _ in range(k))
+        e = rng.randrange(2 * field.q)
+        pu, pv = field.pack(u), field.pack(v)
+        assert field.unpack(pu) == u
+        product = _as_element(_poly_mulmod(list(u), list(v), modulus, p), k)
+        assert field.mul(u, v) == product
+        assert field.unpack(field.reduce(pu * pv)) == product
+        power = _as_element(_poly_powmod(list(u), e, modulus, p), k)
+        assert field.pow(u, e) == power
+        assert field.unpack(field.pow_packed(pu, e)) == power
+
+
+@pytest.mark.parametrize("p,k", [(3, 8), (5, 6), (11, 4), (149, 2), (997, 1)])
+def test_reduce_accepts_sums_of_two_products(p, k):
+    # The Redei step feeds reduce N*x + a*D and N + D*x unreduced.
+    field = build_field(p, k)
+    top = field.element(field.q - 1)  # every coefficient p - 1
+    w = field.pack(top)
+    expected = field.add(field.mul(top, top), field.mul(top, top))
+    assert field.unpack(field.reduce(w * w + w * w)) == expected
+    assert field.unpack(field.reduce(w + w * w)) == field.add(top, field.mul(top, top))

@@ -5,12 +5,18 @@ import pytest
 from redei.gf import INFINITY, build_field, first_with_character, quadratic_character
 from redei.maps import (
     NotAPermutation,
+    _power_map_image,
+    _power_map_images,
+    _redei_images,
     build_permutation,
     cycle_decomposition,
     mult_map_structure,
     power_map_structure,
+    power_map_structures,
     redei_eval,
+    redei_structures,
 )
+from redei.numthy import prime_power_decomposition
 
 
 def walk_orbits(images):
@@ -160,3 +166,33 @@ def test_table_csv_export():
     csv_text = build_permutation(ext, 1, a).to_csv()
     assert csv_text.startswith("point,image\n0:0,0:0\n1:0,1:0\n")
     assert csv_text.endswith("inf,inf\n")
+
+
+BATCH_QS = [q for q in range(3, 131, 2) if prime_power_decomposition(q)]
+
+
+@pytest.mark.parametrize("q", BATCH_QS)
+def test_one_pass_redei_tables_match_single_index(q):
+    field = build_field(*prime_power_decomposition(q))
+    for chi in (-1, 1):
+        a = first_with_character(field, chi)
+        n = q - chi
+        images = _redei_images(field, a)
+        assert sorted(images) == [m for m in range(1, n) if math.gcd(m, n) == 1]
+        structures = redei_structures(field, a)
+        for m, image in images.items():
+            table = build_permutation(field, m, a)
+            assert image == table.image
+            assert structures[m] == cycle_decomposition(table)
+
+
+@pytest.mark.parametrize("q", BATCH_QS)
+def test_one_pass_power_tables_match_single_index(q):
+    field = build_field(*prime_power_decomposition(q))
+    for subgroup, order in (("units", q - 1), ("norm_one", q + 1)):
+        images = _power_map_images(field, subgroup)
+        assert sorted(images) == [m for m in range(1, order) if math.gcd(m, order) == 1]
+        structures = power_map_structures(field, subgroup)
+        for m, image in images.items():
+            assert image == _power_map_image(field, m, subgroup)
+            assert structures[m] == power_map_structure(field, m, subgroup)

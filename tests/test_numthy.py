@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,26 @@ def test_is_prime_spot_checks():
     assert not is_prime(1)
     assert not is_prime(561)  # Carmichael
     assert not is_prime(2**61 + 1)
+
+
+def test_is_prime_rejects_twelve_base_pseudoprime():
+    # The smallest strong pseudoprime to every prime base up to 37.
+    n = 3317044064679887385961981
+    assert n == 1287836182261 * 2575672364521
+    assert is_prime(n) is False
+
+
+def test_is_prime_matches_sympy_on_random_large_inputs():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    samples = [rng.getrandbits(rng.randrange(60, 129)) | 1 for _ in range(1500)]
+    samples += [sympy.randprime(2**60, 2**128) for _ in range(100)]
+    samples += [
+        sympy.randprime(2**30, 2**64) * sympy.randprime(2**30, 2**64)
+        for _ in range(100)
+    ]
+    for n in samples:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_euler_phi_values():
