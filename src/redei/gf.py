@@ -121,8 +121,6 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     k = len(f) - 1
     if k == 1:
         return True
-    if f[0] == 0:
-        return False  # divisible by x
     t = [0, 1]
     for _ in range(k // 2):
         t = _poly_powmod(t, p, f, p)
@@ -158,15 +156,6 @@ def _packed_reduce(p: int, k: int, bits: int, fold_rows: tuple[int, ...]):
     mask = (1 << bits) - 1
     high_shift = bits * k
     low_mask = (1 << high_shift) - 1
-    if k == 2:
-        row = fold_rows[0]
-
-        def reduce(w: int) -> int:
-            # The commonest extension, unrolled: one high slot to fold.
-            w = (w & low_mask) + (w >> high_shift) % p * row
-            return (w & mask) % p | (w >> bits) % p << bits
-
-        return reduce
     shifts = tuple(bits * i for i in range(k))
 
     def reduce(w: int) -> int:
@@ -304,8 +293,10 @@ class Field:
     # the packed kernel
 
     def pack(self, el) -> int:
-        """Packed form of a coefficient sequence, constant term first."""
-        return sum(c << s for c, s in zip(el, self._shifts))
+        """Packed form of a coefficient sequence, constant term first.
+        Coefficients are taken mod p, so any integers are accepted."""
+        p = self.p
+        return sum(c % p << s for c, s in zip(el, self._shifts))
 
     def unpack(self, w: int) -> tuple:
         """Tuple form of a reduced packed element."""

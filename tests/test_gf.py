@@ -224,3 +224,19 @@ def test_reduce_accepts_sums_of_two_products(p, k):
     expected = field.add(field.mul(top, top), field.mul(top, top))
     assert field.unpack(field.reduce(w * w + w * w)) == expected
     assert field.unpack(field.reduce(w + w * w)) == field.add(top, field.mul(top, top))
+
+
+@pytest.mark.parametrize("p,k", [(3, 8), (11, 4), (149, 2), (997, 1)])
+def test_arithmetic_reduces_unreduced_coefficients(p, k):
+    field = build_field(p, k)
+    rng = random.Random(p * 7 + k)
+    for _ in range(50):
+        u = tuple(rng.randrange(-5 * p, 5 * p) for _ in range(k))
+        v = tuple(rng.randrange(-5 * p, 5 * p) for _ in range(k))
+        ru = tuple(c % p for c in u)
+        rv = tuple(c % p for c in v)
+        assert field.mul(u, v) == field.mul(ru, rv)
+        assert field.pow(u, 5) == field.pow(ru, 5)
+        if any(ru):
+            assert field.inv(u) == field.inv(ru)
+    assert field.mul((-1,) + (0,) * (k - 1), field.one) == ((p - 1,) + (0,) * (k - 1))

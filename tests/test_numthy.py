@@ -59,11 +59,12 @@ def test_is_prime_matches_sympy_on_random_large_inputs():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2024)
     samples = [rng.getrandbits(rng.randrange(60, 129)) | 1 for _ in range(1500)]
-    samples += [sympy.randprime(2**60, 2**128) for _ in range(100)]
-    samples += [
-        sympy.randprime(2**30, 2**64) * sympy.randprime(2**30, 2**64)
-        for _ in range(100)
-    ]
+
+    def prime(lo, hi):
+        return sympy.nextprime(rng.getrandbits(rng.randrange(lo, hi)))
+
+    samples += [prime(60, 128) for _ in range(100)]
+    samples += [prime(30, 64) * prime(30, 64) for _ in range(100)]
     for n in samples:
         assert is_prime(n) == sympy.isprime(n), n
 
