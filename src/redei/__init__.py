@@ -62,6 +62,7 @@ from .maps import (
     redei_structures,
 )
 from .numthy import (
+    FactorizationError,
     PrimeFactorization,
     divisors,
     euler_phi,

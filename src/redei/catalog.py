@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle, islice
+from typing import Callable
 
 from .cyclestruct import (
     CycleStructure,
@@ -39,6 +41,7 @@ __all__ = [
     "half_shifted_pair_shares_structure",
     "negated_pair_shares_structure",
     "half_minus_pair_shares_structure",
+    "cross_field_sides",
     "cross_field_shift",
     "involution_for_divisor",
     "classes_json_obj",
@@ -74,31 +77,53 @@ def valid_indices(q: int, chi: int) -> list[int]:
     return [m for m in range(1, n) if math.gcd(m, n) == 1]
 
 
+def _signature_groups(q: int, chi: int) -> list[list[int]]:
+    # Valid indices grouped by their prime_power_signature at every prime
+    # power p**a exactly dividing q - chi, groups in first-member order and
+    # members ascending.  The signature at p**a depends only on m mod p**a,
+    # so it is computed once per residue, and the residues divisible by p
+    # are marked None: m is valid exactly when no entry of its key is.
+    n = _modulus(q, chi)
+    tables = [
+        [
+            None if r % p == 0 else prime_power_signature(r, p, alpha)
+            for r in range(p**alpha)
+        ]
+        for p, alpha in factorize(n).factors
+    ]
+    grouped: dict[tuple, list[int]] = {}
+    # p**a divides n, so cycling each table n // p**a times reads it at m mod p**a.
+    for m, key in enumerate(islice(zip(*map(cycle, tables)), n)):
+        if None not in key:
+            grouped.setdefault(key, []).append(m)
+    return list(grouped.values())
+
+
 def structure_classes(q: int, chi: int) -> list[StructureClass]:
     """Partition the valid indices by exact structure equality.
 
-    Indices are grouped by their prime_power_signature at every prime power
-    exactly dividing q - chi, which agree exactly when the structures do,
-    and one structure is computed per class, from its smallest member.
-    Classes come out ordered by smallest member; members ascend.  The
-    identity index m = 1 is included.
+    Two indices share a structure exactly when their prime_power_signature
+    agrees at every prime power p**a exactly dividing q - chi.  That
+    signature depends only on m mod p**a (the order of m mod p, the gcd of
+    m**theta - 1 with p**a and, for p == 2, of m**2 - 1 with 2**a are all
+    read mod p**a), so it is computed once for each residue mod p**a, not
+    once per index and prime: sum(p**a) signatures per field.  An index is
+    keyed by the table entries at its residues, and one structure is
+    computed per class, from its smallest member.  Classes come out ordered
+    by smallest member; members ascend.  The identity index m = 1 is
+    included.
     """
-    factors = factorize(_modulus(q, chi)).factors
-    grouped: dict[tuple, list[int]] = {}
-    for m in valid_indices(q, chi):
-        key = tuple(prime_power_signature(m, p, alpha) for p, alpha in factors)
-        grouped.setdefault(key, []).append(m)
     return [
         StructureClass(cycle_structure(members[0], q, chi), tuple(members))
-        for members in grouped.values()
+        for members in _signature_groups(q, chi)
     ]
 
 
 def structure_pairs(q: int, chi: int) -> PairCatalog:
     """Expand the classes into ordered pairs (m, n), 1 < m < n < q - chi."""
     pairs = []
-    for cls in structure_classes(q, chi):
-        members = [m for m in cls.members if m > 1]
+    for group in _signature_groups(q, chi):
+        members = [m for m in group if m > 1]
         for i, m in enumerate(members):
             for n in members[i + 1 :]:
                 pairs.append((m, n))
@@ -107,9 +132,7 @@ def structure_pairs(q: int, chi: int) -> PairCatalog:
 
 def isolated_values(q: int, chi: int) -> tuple[int, ...]:
     """Indices whose cycle structure is shared by no other index."""
-    return tuple(
-        cls.members[0] for cls in structure_classes(q, chi) if len(cls.members) == 1
-    )
+    return tuple(group[0] for group in _signature_groups(q, chi) if len(group) == 1)
 
 
 def isolated_count(q: int, chi: int) -> int:
@@ -225,16 +248,15 @@ def half_minus_pair_shares_structure(m: int, n: int, q: int, chi: int) -> bool:
     return _gcd_plus_one_test(m, n, q, chi)
 
 
-def cross_field_shift(m: int, q: int, qbar: int, p: int, chi: int) -> tuple[bool, bool]:
-    """Link the shift-by-(q - chi)/p pair across two fields.
+def cross_field_sides(
+    q: int, qbar: int, p: int, chi: int
+) -> Callable[[int], tuple[bool, bool]]:
+    """Check the hypotheses of the cross-field correspondence once, and
+    return the function that cross_field_shift applies to each index m.
 
-    Requires p to divide q - chi and qbar - chi to the same positive power
-    alpha, with (q - chi)/p**alpha + (qbar - chi)/p**alpha == 0 mod p, and
-    m to permute in both fields or in neither.  Under those hypotheses,
-    (m, m + (q - chi)/p) is same-structure over q exactly when
-    (m, m - (qbar - chi)/p) is same-structure over qbar.  Both memberships
-    are evaluated and returned as (left, right); the correspondence claims
-    they are equal.
+    Raises ValueError unless q and qbar are odd prime powers and p divides
+    q - chi and qbar - chi to the same positive power alpha, with
+    (q - chi)/p**alpha + (qbar - chi)/p**alpha == 0 mod p.
     """
     nq = _modulus(q, chi)
     nb = _modulus(qbar, chi)
@@ -252,17 +274,34 @@ def cross_field_shift(m: int, q: int, qbar: int, p: int, chi: int) -> tuple[bool
     pa = p**alpha
     if (nq // pa + nb // pa) % p:
         raise ValueError("cofactors do not cancel mod p; hypotheses unmet")
-    mq, mb = m % nq, m % nb
-    permutes_q = mq != 0 and math.gcd(mq, nq) == 1
-    permutes_b = mb != 0 and math.gcd(mb, nb) == 1
-    if permutes_q != permutes_b:
-        raise ValueError(
-            f"m={m} permutes over exactly one of the two fields; "
-            "the correspondence needs both or neither"
-        )
-    left = pair_shares_structure(m, m + nq // p, q, chi)
-    right = pair_shares_structure(m, m - nb // p, qbar, chi)
-    return left, right
+    shift_q, shift_b = nq // p, nb // p
+
+    def sides(m: int) -> tuple[bool, bool]:
+        mq, mb = m % nq, m % nb
+        permutes_q = mq != 0 and math.gcd(mq, nq) == 1
+        permutes_b = mb != 0 and math.gcd(mb, nb) == 1
+        if permutes_q != permutes_b:
+            raise ValueError(
+                f"m={m} permutes over exactly one of the two fields; "
+                "the correspondence needs both or neither"
+            )
+        left = pair_shares_structure(m, m + shift_q, q, chi)
+        right = pair_shares_structure(m, m - shift_b, qbar, chi)
+        return left, right
+
+    return sides
+
+
+def cross_field_shift(m: int, q: int, qbar: int, p: int, chi: int) -> tuple[bool, bool]:
+    """Link the shift-by-(q - chi)/p pair across two fields.
+
+    Requires the hypotheses of cross_field_sides, and m to permute in both
+    fields or in neither.  Under those hypotheses, (m, m + (q - chi)/p) is
+    same-structure over q exactly when (m, m - (qbar - chi)/p) is
+    same-structure over qbar.  Both memberships are evaluated and returned
+    as (left, right); the correspondence claims they are equal.
+    """
+    return cross_field_sides(q, qbar, p, chi)(m)
 
 
 def involution_for_divisor(d: int, q: int, chi: int) -> tuple[int, ...]:
@@ -317,13 +356,14 @@ def involution_for_divisor(d: int, q: int, chi: int) -> tuple[int, ...]:
 # -- report forms ------------------------------------------------------------
 
 
-def classes_json_obj(q: int, chi: int) -> dict:
+def classes_json_obj(q: int, chi: int, classes: list[StructureClass]) -> dict:
+    """JSON form of the classes of one field, as structure_classes gives them."""
     return {
         "q": q,
         "chi": chi,
         "classes": [
             {"members": list(cls.members), "structure": cls.structure.to_json_obj()}
-            for cls in structure_classes(q, chi)
+            for cls in classes
         ],
     }
 

@@ -23,7 +23,7 @@ from .gf import (
     quadratic_character,
 )
 from .maps import NotAPermutation, build_permutation, cycle_decomposition
-from .numthy import prime_power_decomposition
+from .numthy import FactorizationError, prime_power_decomposition
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -116,7 +116,7 @@ def cmd_classes(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), EXIT_INVALID)
     classes = catalog.structure_classes(q, args.chi)
-    obj = catalog.classes_json_obj(q, args.chi)
+    obj = catalog.classes_json_obj(q, args.chi, classes)
     lines = [f"q={q} chi={args.chi} classes={len(classes)}"]
     csv_lines = ["members,structure"]
     for cls in classes:
@@ -196,7 +196,7 @@ def cmd_family(args) -> int:
         return _fail("--chi is required", EXIT_INVALID)
     try:
         pred = _family_prediction(args)
-    except families.InvalidFamilyInput as exc:
+    except (families.InvalidFamilyInput, FactorizationError) as exc:
         return _fail(str(exc), EXIT_INVALID)
     except ValueError as exc:
         return _fail(str(exc), EXIT_FAMILY_PRECONDITION)
@@ -327,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FactorizationError as exc:
+        return _fail(str(exc), EXIT_INVALID)
 
 
 if __name__ == "__main__":

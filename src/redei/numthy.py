@@ -14,6 +14,7 @@ from functools import lru_cache
 
 __all__ = [
     "PrimeFactorization",
+    "FactorizationError",
     "is_prime",
     "factorize",
     "euler_phi",
@@ -61,6 +62,11 @@ class PrimeFactorization:
         for p, e in self.factors:
             out *= p**e
         return out
+
+
+class FactorizationError(ValueError):
+    """factorize(n) produced a result that fails its own check: the factors
+    do not multiply back to n, or a factor found by rho is not prime."""
 
 
 def is_prime(n: int) -> bool:
@@ -201,7 +207,10 @@ def factorize(n: int) -> PrimeFactorization:
     """Factor a positive integer into its unique prime-power form.
 
     Trial division by small primes first, then Brent's rho with
-    deterministic primality certification on what remains.
+    deterministic primality certification on what remains.  The result is
+    checked before it is returned: the prime powers must multiply back to
+    n, and every factor rho found must pass is_prime; otherwise
+    FactorizationError names n.
 
     >>> factorize(48).factors
     ((2, 4), (3, 1))
@@ -225,8 +234,21 @@ def factorize(n: int) -> PrimeFactorization:
         if f * f > rest:
             counts[rest] = counts.get(rest, 0) + 1
         else:
-            _factor_into(rest, counts)
-    return PrimeFactorization(n, tuple(sorted(counts.items())))
+            found: dict[int, int] = {}
+            _factor_into(rest, found)
+            for prime in found:
+                if not is_prime(prime):
+                    raise FactorizationError(
+                        f"factorize({n}): factor {prime} is not prime"
+                    )
+            counts.update(found)
+    result = PrimeFactorization(n, tuple(sorted(counts.items())))
+    product = result.reconstruct()
+    if product != n:
+        raise FactorizationError(
+            f"factorize({n}): factors {result.factors} multiply to {product}"
+        )
+    return result
 
 
 @lru_cache(maxsize=65536)

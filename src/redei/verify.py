@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .catalog import (
     NoSuchInvolution,
-    cross_field_shift,
+    cross_field_sides,
     half_minus_pair_shares_structure,
     half_shifted_pair_shares_structure,
     involution_for_divisor,
@@ -346,6 +346,7 @@ def cross_field_correspondence(limit: int) -> Check:
                         continue
                     if (nq // pa + nb // pa) % p:
                         continue
+                    sides = cross_field_sides(q, qbar, p, chi)
                     for m in range(1, max(nq, nb)):
                         mq, mb = m % nq, m % nb
                         ok_q = mq != 0 and math.gcd(mq, nq) == 1
@@ -353,7 +354,7 @@ def cross_field_correspondence(limit: int) -> Check:
                         if ok_q != ok_b:
                             continue
                         checked += 1
-                        left, right = cross_field_shift(m, q, qbar, p, chi)
+                        left, right = sides(m)
                         if left != right:
                             failures.append(
                                 f"cross-field correspondence failed for m={m}, "

@@ -71,6 +71,45 @@ def test_signature_classes_match_structure_grouping():
             assert got == expected, (q, chi)
 
 
+# Fields at the scale of the catalog benchmark (1e4 < q < 4e4), with
+# q - chi covering the shapes the residue tables treat differently.
+CATALOG_SCALE_FIELDS = (
+    (10079, -1),  # 2**5 * 3**2 * 5 * 7: three-part p = 2 signature, odd 3**2
+    (13103, -1),  # 2**4 * 3**2 * 7 * 13
+    (12601, 1),  # 2**3 * 3**2 * 5**2 * 7: two odd squares
+    (15625, 1),  # 5**6 - 1 = 2**3 * 3**2 * 7 * 31, a prime-power field
+    (32761, 1),  # 181**2 - 1 = 2**3 * 3**2 * 5 * 7 * 13
+    (12479, -1),  # 2**6 * 3 * 5 * 13
+    (10201, -1),  # 101**2 + 1 = 2 * 5101
+)
+
+
+@pytest.mark.parametrize("q,chi", CATALOG_SCALE_FIELDS)
+def test_residue_tables_match_structure_grouping_at_catalog_scale(q, chi):
+    # Group the per-index closed forms directly (uncached, so the suite does
+    # not keep these large dicts) and compare with the table route.
+    grouped: dict = {}
+    for m, structure in sorted(structures_by_index.__wrapped__(q, chi).items()):
+        grouped.setdefault(structure, []).append(m)
+    expected = [(s, tuple(members)) for s, members in grouped.items()]
+    classes = structure_classes(q, chi)
+    assert [(c.structure, c.members) for c in classes] == expected
+    assert isolated_values(q, chi) == tuple(
+        members[0] for _, members in expected if len(members) == 1
+    )
+    if q - chi == 2 * 5101:
+        # 1.6e6 pairs: as tuples, an estimated 100 MB.
+        return
+    pairs = sorted(
+        (m, n)
+        for _, members in expected
+        for i, m in enumerate(members)
+        for n in members[i + 1 :]
+        if m > 1
+    )
+    assert structure_pairs(q, chi).pairs == tuple(pairs)
+
+
 def test_degenerate_field_single_class():
     classes = structure_classes(3, 1)
     assert len(classes) == 1 and classes[0].members == (1,)
@@ -277,7 +316,7 @@ class TestInvolutionForDivisor:
 
 
 def test_classes_json_obj():
-    obj = classes_json_obj(3, 1)
+    obj = classes_json_obj(3, 1, structure_classes(3, 1))
     assert obj == {
         "q": 3,
         "chi": 1,

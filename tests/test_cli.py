@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from redei import numthy
 from redei.cli import main
 
 
@@ -218,3 +221,25 @@ def test_verify_rejects_bad_thread_cap(capsys, monkeypatch):
 def test_verify_rejects_large_qmax(capsys):
     code, _, err = run_cli(capsys, "verify", "--qmax", "1000")
     assert code == 2 and "qmax" in err
+
+
+@pytest.fixture
+def broken_factorization(monkeypatch):
+    # A rho stage that records every composite it is given as prime.
+    numthy.factorize.cache_clear()
+    monkeypatch.setattr(numthy, "_factor_into", lambda n, counts: counts.update({n: 1}))
+    yield
+    numthy.factorize.cache_clear()
+
+
+def test_failed_factorization_exits_2(capsys, broken_factorization):
+    # q - 1 = 48 * 3317044064679887385961981, a strong pseudoprime to the
+    # twelve Miller-Rabin bases; the check must catch it.
+    q = "159218115104634594526175089"
+    n = str(int(q) - 1)
+    code, out, err = run_cli(capsys, "structure", "--q", q, "--chi", "1", "--m", "43")
+    assert code == 2 and out == "" and n in err
+    code, out, err = run_cli(
+        capsys, "family", "quarter", "--q", q, "--chi", "1", "--verify"
+    )
+    assert code == 2 and out == "" and n in err

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -101,6 +102,84 @@ def test_structure_at_large_moduli(p, k, chi, fixed):
         for r, _ in s.counts:
             expected = sum(ln * mult for ln, mult in s.counts if r % ln == 0)
             assert iterated_fixed_point_count(m, r, q, chi) == expected, (m, r)
+
+
+# q = 159218115104634594526175089 is prime.  q - 1 = 2**4 * 3 * P1 * P2, where
+# P1 * P2 = 3317044064679887385961981 is the smallest strong pseudoprime to the
+# twelve prime bases up to 37, and q + 1 = 2 * 5 * 2213 * R1 * R2.  Each prime
+# is listed with the factorization of p - 1, which certifies it (Lucas) and
+# gives every order from pow alone, without redei.numthy.
+PSEUDOPRIME_FIELD = 159218115104634594526175089
+PSEUDOPRIME_FIELD_PRIMES = {
+    2: {},
+    3: {2: 1},
+    5: {2: 2},
+    2213: {2: 2, 7: 1, 79: 1},
+    14167079879: {2: 1, 7: 1, 1011934277: 1},
+    507844462967: {2: 1, 23: 1, 1087: 1, 10156483: 1},
+    1287836182261: {2: 2, 3: 3, 5: 1, 127: 1, 18778597: 1},
+    2575672364521: {2: 3, 3: 3, 5: 1, 127: 1, 18778597: 1},
+}
+
+
+def _lucas_certified(p, minus_one):
+    # p is prime iff some a has order exactly p - 1 mod p.
+    assert math.prod(r**e for r, e in minus_one.items()) == p - 1
+    assert all(all(r % d for d in range(2, math.isqrt(r) + 1)) for r in minus_one)
+    return any(
+        pow(a, p - 1, p) == 1 and all(pow(a, (p - 1) // r, p) != 1 for r in minus_one)
+        for a in range(2, 100)
+    )
+
+
+def _order_by_pow(m, p, e):
+    # Order of m mod p**e, refined down from phi(p**e) one prime at a time.
+    pe = p**e
+    group = {**PSEUDOPRIME_FIELD_PRIMES[p]}
+    if e > 1:
+        group[p] = group.get(p, 0) + e - 1
+    order = p ** (e - 1) * (p - 1)
+    for r in group:
+        while order % r == 0 and pow(m, order // r, pe) == 1:
+            order //= r
+    return order
+
+
+def _divisor_loop_by_pow(m, q, chi, factors):
+    # phi(d)/o_d(m) cycles of length o_d(m) for every divisor d of q - chi.
+    counts = {1: 1 + chi}
+    parts = [[(1, 1)] for _ in factors]
+    for slot, (p, a) in enumerate(factors):
+        for e in range(1, a + 1):
+            parts[slot].append((p ** (e - 1) * (p - 1), _order_by_pow(m, p, e)))
+    for combo in itertools.product(*parts):
+        phi = math.prod(f for f, _ in combo)
+        order = math.lcm(*(o for _, o in combo))
+        counts[order] = counts.get(order, 0) + phi // order
+    return counts
+
+
+@pytest.mark.parametrize(
+    "chi, factors",
+    [
+        (1, ((2, 4), (3, 1), (1287836182261, 1), (2575672364521, 1))),
+        (-1, ((2, 1), (5, 1), (2213, 1), (14167079879, 1), (507844462967, 1))),
+    ],
+)
+def test_structure_over_pseudoprime_field_matches_pow_orders(chi, factors):
+    q = PSEUDOPRIME_FIELD
+    assert all(_lucas_certified(p, PSEUDOPRIME_FIELD_PRIMES[p]) for p, _ in factors)
+    assert math.prod(p**a for p, a in factors) == q - chi
+    rng = random.Random(chi)
+    indices = [43, 7]
+    while len(indices) < 5:
+        m = rng.randrange(2, q - chi)
+        if math.gcd(m, q - chi) == 1:
+            indices.append(m)
+    for m in indices:
+        assert cycle_structure(m, q, chi).as_dict() == _divisor_loop_by_pow(
+            m, q, chi, factors
+        ), m
 
 
 def test_structure_rejects_noncoprime():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redei import numthy
 from redei.numthy import (
+    FactorizationError,
     divisors,
     euler_phi,
     factorize,
@@ -67,6 +69,53 @@ def test_is_prime_matches_sympy_on_random_large_inputs():
     samples += [prime(30, 64) * prime(30, 64) for _ in range(100)]
     for n in samples:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_factorize_matches_sympy_on_random_large_inputs():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2025)
+
+    def prime(bits):
+        return sympy.nextprime(rng.getrandbits(bits))
+
+    # 60- to 128-bit inputs with at most one prime factor above 2**28, so
+    # that rho needs at most about 2**14 steps on each of them.
+    samples = []
+    while len(samples) < 80:
+        target = rng.randrange(60, 129)
+        n = 1
+        while n.bit_length() < target - 60 and rng.random() < 0.7:
+            n *= prime(rng.randrange(3, 28)) ** rng.choice((1, 1, 2))
+        n *= prime(target - n.bit_length())
+        if 60 <= n.bit_length() <= 128:
+            samples.append(n)
+    for n in samples:
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
+@pytest.fixture
+def cold_factorize():
+    factorize.cache_clear()
+    yield
+    factorize.cache_clear()
+
+
+def test_factorize_rejects_a_composite_factor(cold_factorize, monkeypatch):
+    # A rho stage that trusts a composite as prime, as the 12-base
+    # Miller-Rabin test once did with this pseudoprime.
+    pseudoprime = 3317044064679887385961981
+    monkeypatch.setattr(numthy, "_factor_into", lambda n, counts: counts.update({n: 1}))
+    with pytest.raises(FactorizationError, match=str(48 * pseudoprime)):
+        factorize(48 * pseudoprime)
+
+
+def test_factorize_rejects_a_lost_factor(cold_factorize, monkeypatch):
+    n = 1287836182261 * 2575672364521
+    monkeypatch.setattr(
+        numthy, "_factor_into", lambda rest, counts: counts.update({1287836182261: 1})
+    )
+    with pytest.raises(FactorizationError, match=str(n)):
+        factorize(n)
 
 
 def test_euler_phi_values():
